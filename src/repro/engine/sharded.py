@@ -221,6 +221,8 @@ def partition_columns(
     offset: int = 0,
 ) -> List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]]:
     """Split one columnar stream into per-shard streams, order-preserving."""
+    if shards == 1:
+        return [(hi, lo, sizes)]  # nothing to assign: skip the key hash
     assign = shard_assignments(hi, lo, shards, strategy, seed, offset)
     return _split_by_assignment(hi, lo, sizes, assign, shards)
 

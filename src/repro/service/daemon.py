@@ -44,7 +44,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -422,7 +422,7 @@ class MeasurementDaemon:
             None,
             None,
         )
-        self._epoch_planners: dict = {}
+        self._planners: Dict[Tuple[int, int], QueryPlanner] = {}
         self._replica: Optional[SlimReplica] = (
             SlimReplica(
                 config.spec,
@@ -577,10 +577,25 @@ class MeasurementDaemon:
         if new_l is not None:
             self._apply_geometry_locked(new_l)
 
+    def _freeze_locked(self, snap: EpochSnapshot) -> None:
+        """Store a closed epoch and forget planners over evicted ones.
+
+        Eviction is FIFO, so a planner covers an evicted epoch exactly
+        when its ``lo`` precedes the oldest retained one.
+        """
+        self.store.add(snap)
+        oldest = self.store.ids()[0]
+        self._planners = {
+            key: planner
+            for key, planner in self._planners.items()
+            if key[0] >= oldest
+        }
+        self.registry.inc("service.epochs.rotated")
+
     def _rotate_locked(self) -> EpochSnapshot:
         start = time.perf_counter()
         snap = self._builder.close()
-        self.store.add(snap)
+        self._freeze_locked(snap)
         self._control_locked(snap)
         self._builder = EpochBuilder(
             self.config,
@@ -591,7 +606,6 @@ class MeasurementDaemon:
         )
         if self._tenants is not None:
             self._tenants.on_parent_rotate()
-        self.registry.inc("service.epochs.rotated")
         self.registry.observe(
             "service.rotate.seconds", time.perf_counter() - start, TIME_EDGES
         )
@@ -616,9 +630,7 @@ class MeasurementDaemon:
                 return
             self._closed = True
             if self._builder.packets:
-                snap = self._builder.close()
-                self.store.add(snap)
-                self.registry.inc("service.epochs.rotated")
+                self._freeze_locked(self._builder.close())
             else:
                 self._builder.close()  # drain the driver's workers
         if self._tenants is not None:
@@ -868,25 +880,39 @@ class MeasurementDaemon:
 
     def epoch_planner(self, epoch: int) -> QueryPlanner:
         """Memoized planner over one frozen epoch (immutable → cached)."""
-        with self._lock:
-            planner = self._epoch_planners.get(epoch)
-            if planner is not None:
-                return planner
-        snap = self.store.get(epoch)  # KeyError surfaces to the caller
-        planner = QueryPlanner(snap.sketch(), self.config.key_spec)
-        with self._lock:
-            # Bound the cache alongside the store's own history.
-            if len(self._epoch_planners) >= self.config.history:
-                for stale in list(self._epoch_planners):
-                    if stale not in set(self.store.ids()):
-                        del self._epoch_planners[stale]
-            self._epoch_planners[epoch] = planner
-        return planner
+        return self._frozen_planner(epoch, epoch)
 
     def range_planner(self, lo: int, hi: int) -> QueryPlanner:
-        """Planner over the time-travel merge of epochs ``lo..hi``."""
+        """Memoized planner over the time-travel merge of epochs ``lo..hi``."""
+        return self._frozen_planner(lo, hi)
+
+    def _frozen_planner(self, lo: int, hi: int) -> QueryPlanner:
+        """One memo for epoch and range planners, keyed ``(lo, hi)``.
+
+        Epoch ``K`` is the range ``(K, K)``: the fold of one snapshot
+        is the snapshot itself.
+
+        Frozen state never changes, so each planner — its extraction
+        and per-key aggregates — is built once.  The memo holds at most
+        ``config.history`` planners (oldest first out), and rotation
+        drops every planner covering an evicted epoch.
+        """
+        key = (lo, hi)
+        with self._lock:
+            planner = self._planners.get(key)
+            if planner is not None:
+                return planner
+        # KeyError (unknown/evicted epoch) surfaces to the caller.
         merged = self.store.merged_range(lo, hi)
-        return QueryPlanner(merged, self.config.key_spec)
+        planner = QueryPlanner(merged, self.config.key_spec)
+        with self._lock:
+            if key in self._planners:
+                return self._planners[key]  # a concurrent build won
+            if lo >= self.store.ids()[0]:  # nothing evicted while building
+                if len(self._planners) >= self.config.history:
+                    del self._planners[next(iter(self._planners))]
+                self._planners[key] = planner
+        return planner
 
     def observe_query(self, elapsed_s: float) -> None:
         """Record one served query's latency (drives the soak p95)."""

@@ -37,6 +37,12 @@ packet the daemon accepted beyond the answer's covered prefix
 never an undercount.  Client errors (bad SQL, unknown field, malformed
 params) are 400s; unknown/evicted epochs are 404s; only genuine bugs
 surface as 500s (the soak asserts none occur).
+
+Accepted connections set TCP_NODELAY: a response goes out as a header
+write and a body write, and with Nagle on, a keep-alive client's
+delayed ACK of the first holds the second for ~40 ms.  That stall sits
+on the wire, after the handler returns, so ``service.query.seconds``
+never sees it — measure latency at the client.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ class _Handler(BaseHTTPRequestHandler):
     """One request per thread; all state lives on ``server.daemon``."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY (module docstring)
 
     # -- plumbing ------------------------------------------------------
 

@@ -20,8 +20,10 @@ Three families of guarantees, matching the service's design contract
   and shutdown drains every in-flight block.
 """
 
+import http.client
 import json
 import random
+import sys
 import threading
 import time
 import urllib.error
@@ -32,10 +34,12 @@ import numpy as np
 import pytest
 
 from repro.core.serialize import dump_sketch
+from repro.core.sql import run_query
 from repro.engine.sharded import SketchSpec
 from repro.extensions.windowed import WindowedMeasurement, split_budget
 from repro.flowkeys.key import FIVE_TUPLE
 from repro.obs.registry import histogram_quantile
+from repro.query.planner import QueryPlanner
 from repro.service import (
     EpochSnapshot,
     EpochStore,
@@ -573,6 +577,132 @@ class TestHttpSoak:
             # Valid queries still succeed after the error barrage.
             status, payload = _get(_sql_url(base, SOAK_SQL))
             assert status == 200
+        daemon.close()
+
+
+class TestHttpKeepAlive:
+    def test_back_to_back_requests_do_not_stall(self):
+        # Header and body leave in two writes; with Nagle on, each
+        # response waits out the client's ~40 ms delayed ACK (20
+        # requests took ~0.9 s), invisible to service.query.seconds.
+        daemon = MeasurementDaemon(make_config())
+        with ServiceServer(daemon) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=20
+            )
+
+            def get_epochs():
+                conn.request("GET", "/epochs")
+                resp = conn.getresponse()
+                resp.read()
+                return resp.status
+
+            try:
+                assert get_epochs() == 200  # warm-up
+                start = time.perf_counter()
+                statuses = [get_epochs() for _ in range(20)]
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        daemon.close()
+        assert statuses == [200] * 20
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
+
+class TestFrozenPlannerMemo:
+    BLOCK = 1_500
+
+    def _daemon(self, epochs, history=8, resize_at=None):
+        """One manual rotation per block; epochs after *resize_at* are wider."""
+        daemon = MeasurementDaemon(make_config(history=history))
+        trace = make_trace(epochs * self.BLOCK)
+        for epoch, (hi, lo, sizes) in enumerate(trace.batches(self.BLOCK)):
+            if epoch == resize_at:
+                daemon.set_geometry(1_024)
+            daemon.ingest(hi, lo, sizes)
+            daemon.rotate()
+        return daemon
+
+    def test_repeated_planners_are_the_same_object(self):
+        daemon = self._daemon(3)
+        assert daemon.range_planner(0, 2) is daemon.range_planner(0, 2)
+        assert daemon.epoch_planner(1) is daemon.epoch_planner(1)
+        assert daemon.range_planner(0, 1) is not daemon.range_planner(0, 2)
+        daemon.close()
+
+    def test_concurrent_callers_share_one_planner(self):
+        daemon = self._daemon(3)
+        ranges = [(lo, hi) for lo in range(3) for hi in range(lo, 3)]
+        seen = {key: set() for key in ranges}
+        barrier = threading.Barrier(8)
+
+        def reader(seed):
+            order = ranges[:]
+            random.Random(seed).shuffle(order)
+            barrier.wait(timeout=20)
+            for key in order:
+                seen[key].add(id(daemon.range_planner(*key)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(ids) == 1 for ids in seen.values()), seen
+        assert len(daemon._planners) == len(ranges)
+        daemon.close()
+
+    def test_memoized_answers_equal_fresh_planner(self):
+        daemon = self._daemon(4, resize_at=1)
+        widths = [meta["l"] for meta in daemon.store.metas()]
+        assert widths == [512, 512, 1_024, 1_024]
+        config = daemon.config
+        partial = config.key_spec.partial(("SrcIP", 16))
+        with ServiceServer(daemon) as server:
+            for lo, hi in [(0, 3), (0, 1), (1, 2), (2, 2)]:
+                fresh = QueryPlanner(
+                    daemon.store.merged_range(lo, hi), config.key_spec
+                )
+                want_topk = fresh.table(partial).top_k(20)
+                want_sql = run_query(SOAK_SQL, planner=fresh)
+                for _ in range(2):  # first call builds, second is memoized
+                    _, topk = _get(
+                        f"{server.url}/topk?key=SrcIP/16&k=20"
+                        f"&epoch={lo}-{hi}"
+                    )
+                    _, sql = _get(_sql_url(server.url, SOAK_SQL, f"{lo}-{hi}"))
+                    assert topk["rows"] == [[k, v] for k, v in want_topk]
+                    assert sql["rows"] == [[k, v] for k, v in want_sql]
+        daemon.close()
+
+    def test_eviction_drops_covering_planners(self):
+        daemon = self._daemon(3, history=3)
+        for lo, hi in [(0, 0), (0, 2), (1, 2), (2, 2)]:
+            daemon.range_planner(lo, hi)
+        (block,) = make_trace(self.BLOCK, seed=9).batches(self.BLOCK)
+        daemon.ingest(*block)
+        daemon.rotate()  # evicts epoch 0
+        assert daemon.store.ids() == [1, 2, 3]
+        assert sorted(daemon._planners) == [(1, 2), (2, 2)]
+        with pytest.raises(KeyError):
+            daemon.range_planner(0, 2)
+        daemon.close()
+
+    def test_memo_never_exceeds_history(self):
+        daemon = self._daemon(3, history=3)
+        ranges = [(lo, hi) for lo in range(3) for hi in range(lo, 3)]
+        for lo, hi in ranges:
+            daemon.range_planner(lo, hi)
+            assert len(daemon._planners) <= 3
+        assert list(daemon._planners) == ranges[-3:]
         daemon.close()
 
 
