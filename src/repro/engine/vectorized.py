@@ -72,6 +72,7 @@ from repro.engine.kernels import (
     resolve_kernels,
 )
 from repro.engine.pipeline import Stage, StagedPipeline
+from repro.flowkeys.columns import columns_to_words, unique_words
 from repro.hashing.family import HashFamily, fold_columns
 from repro.obs.registry import get_registry
 from repro.obs.replay import (
@@ -960,15 +961,17 @@ class NumpyHardwareCocoSketch(_ColumnarKeyValueSketch):
 
         Unlike the basic rule's raw-bucket export, the hardware table
         is the per-key *median* across arrays, so the export computes
-        it vectorised over the unique recorded keys (no duplicates).
+        it vectorised over the unique recorded keys (no duplicates),
+        found with one two-column sort.
         """
         occ = self._occupied
         if not occ.any():
             empty = np.empty(0, dtype=np.uint64)
             return empty, empty, np.empty(0, dtype=np.float64)
-        packed = np.stack([self._key_hi[occ], self._key_lo[occ]], axis=1)
-        uniq = np.unique(packed, axis=0)
-        u_hi, u_lo = uniq[:, 0], uniq[:, 1]
+        uniq = unique_words(
+            columns_to_words(self._key_hi[occ], self._key_lo[occ], 128)
+        )
+        u_lo, u_hi = uniq[0], uniq[1]
         J = self._family.index_arrays(fold_columns(u_hi, u_lo), self.l)
         estimates = np.zeros((self.d, len(u_hi)))
         for i in range(self.d):

@@ -125,6 +125,30 @@ def sort_words(words: "np.ndarray") -> "np.ndarray":
     return np.lexsort(tuple(words))
 
 
+def _sorted_runs(words: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """One stable sort of *words* and the start of each run of equal keys.
+
+    Returns ``(order, sorted_words, start_idx)``; the run starts come
+    from an adjacent-difference mask.  *words* must be non-empty.
+    """
+    order = sort_words(words)
+    sorted_words = words[:, order]
+    n = words.shape[1]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    diff = sorted_words[:, 1:] != sorted_words[:, :-1]
+    starts[1:] = diff.any(axis=0) if words.shape[0] > 1 else diff[0]
+    return order, sorted_words, np.nonzero(starts)[0]
+
+
+def unique_words(words: "np.ndarray") -> "np.ndarray":
+    """Distinct multi-word keys in ascending key order (``(W, u)``)."""
+    if words.shape[1] == 0:
+        return words[:, :0]
+    _, sorted_words, start_idx = _sorted_runs(words)
+    return sorted_words[:, start_idx]
+
+
 def group_words(
     words: "np.ndarray", values: "np.ndarray"
 ) -> Tuple["np.ndarray", "np.ndarray"]:
@@ -134,15 +158,8 @@ def group_words(
     key order — one stable sort plus ``np.add.reduceat``, no python
     loop over rows.
     """
-    n = words.shape[1]
-    if n == 0:
+    if words.shape[1] == 0:
         return words[:, :0], values[:0]
-    order = sort_words(words)
-    sorted_words = words[:, order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    diff = sorted_words[:, 1:] != sorted_words[:, :-1]
-    starts[1:] = diff.any(axis=0) if words.shape[0] > 1 else diff[0]
-    start_idx = np.nonzero(starts)[0]
+    order, sorted_words, start_idx = _sorted_runs(words)
     totals = np.add.reduceat(values[order], start_idx)
     return sorted_words[:, start_idx], totals

@@ -4,8 +4,8 @@ This is the worker-pool half of the sharded pipeline
 (:mod:`repro.engine.sharded` owns partitioning and the queryable
 facade).  Execution is *streaming*: the driver launches one persistent
 worker per shard group up front, then scatters columnar chunks to them
-through bounded queues while it keeps partitioning the next block — no
-per-batch pool barrier.  Each worker
+through a shared-memory slot ring while it keeps partitioning the next
+block — no per-batch pool barrier.  Each worker
 
 1. rebuilds its shard sketches from a
    :class:`~repro.engine.sharded.SketchSpec` (same geometry and
@@ -21,11 +21,24 @@ per-batch pool barrier.  Each worker
    would export — plus a
    :class:`~repro.metrics.throughput.WorkerThroughput` report.
 
-Backpressure is credit-based end to end: every worker's input queue
-holds at most :data:`WORKER_CREDITS` chunks, so a slow worker stalls
-the driver's scatter loop instead of buffering the whole trace, and
-inside each worker the engine's own ring buffer
-(:mod:`repro.engine.pipeline`) bounds chunks in flight per stage.
+Transport: every worker owns one ring of :data:`WORKER_CREDITS` slots,
+each holding one chunk's ``(hi, lo, sizes)`` columns, allocated with
+``RawArray`` before the worker starts (an unlinked shared arena: no
+name to leak if a process is killed, and it works under every start
+method).  :meth:`StreamDriver.send` copies a chunk into a free slot and
+enqueues only ``(shard, slot, n)``; the worker consumes views of the
+slot and hands the slot id back on a free-slot queue.  Chunk bytes are
+never pickled.  A slot holds :func:`stream_batch_for` packets of the
+driver's ``batch_size``, and ``send`` refuses a bigger chunk with
+``ValueError``.  Resize control tuples and the end-of-stream mark ride
+the same small-message queue as the slot ids, so they stay FIFO with
+the data.
+
+Backpressure is credit-based end to end: a free slot is a credit, so a
+slow worker stalls the driver's scatter loop (waiting for a returned
+slot) instead of buffering the whole trace, and inside each worker the
+engine's own ring buffer (:mod:`repro.engine.pipeline`) bounds chunks
+in flight per stage.
 
 ``processes=False`` runs the same driver/worker code path inline
 (including the serialise round-trip), so serial and parallel execution
@@ -57,9 +70,9 @@ _RESIZE_RNG_SALT = 0x4E5A17
 #: (the shards=1 bit-identity tests rely on this).
 STREAM_BATCH = 65536
 
-#: Chunks a worker's input queue may hold before the driver's scatter
-#: loop blocks — the process-level analogue of the ring buffer's
-#: credits.
+#: Slots in each worker's shared-memory ring: the chunks in flight to
+#: one worker before the driver's scatter loop blocks — the
+#: process-level analogue of the ring buffer's credits.
 WORKER_CREDITS = 4
 
 #: One shard's columnar packet stream: (keys_hi, keys_lo, sizes).
@@ -199,18 +212,35 @@ class _ShardRun:
         )
 
 
-def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> None:
+def _ring_views(ring, slot_packets: int) -> ShardColumns:
+    """``(hi, lo, sizes)`` slot arrays, each ``(WORKER_CREDITS, slot_packets)``.
+
+    Views over one worker's shared ring; the driver writes a slot's
+    rows, the worker reads them.
+    """
+    words = np.frombuffer(ring, dtype=np.uint64).reshape(
+        3, WORKER_CREDITS, slot_packets
+    )
+    return words[0], words[1], words[2].view(np.int64)
+
+
+def _stream_worker(
+    spec, shards, batch_size, collect, ring, slot_packets, in_q, free_q,
+    out_q, epoch=0,
+) -> None:
     """Process entry point: consume chunks until the end-of-stream mark.
 
     One worker may own several shards (when the driver runs fewer
     processes than shards); each keeps its own sketch, registry and
-    timers, so the reports stay per-shard regardless of placement.
+    timers, so the reports stay per-shard regardless of placement, and
+    all of them share the worker's one slot ring.
 
-    Two message kinds arrive on the queue: data chunks
-    ``(shard, hi, lo, sizes)`` and control tuples ``("resize", shard,
-    new_l, seed)`` — the latter re-hash the shard's live state in
-    place (the daemon's elastic geometry, shipped to persistent
-    workers).  ``None`` ends the stream.
+    Two message kinds arrive on the queue: data ``(shard, slot, n)`` —
+    the first *n* packets of ring slot *slot*, whose id goes back on
+    *free_q* once consumed — and control tuples ``("resize", shard,
+    new_l, seed)``, which re-hash the shard's live state in place (the
+    daemon's elastic geometry, shipped to persistent workers).
+    ``None`` ends the stream.
     """
     if spec.engine != "scalar":
         # Warm the JIT before the first timed chunk: with a shared
@@ -219,6 +249,7 @@ def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> N
         from repro.engine.kernels import resolve_kernels, warmup
 
         warmup(resolve_kernels(None), spec.d)
+    hi_slots, lo_slots, size_slots = _ring_views(ring, slot_packets)
     runs = {shard: _ShardRun(spec, shard, collect, epoch) for shard in shards}
     while True:
         message = in_q.get()
@@ -228,8 +259,12 @@ def _stream_worker(spec, shards, batch_size, collect, in_q, out_q, epoch=0) -> N
             _, shard, new_l, seed = message
             runs[shard].sketch.resize(new_l, seed=seed)
             continue
-        shard, hi, lo, sizes = message
-        runs[shard].consume(hi, lo, sizes, batch_size)
+        shard, slot, n = message
+        runs[shard].consume(
+            hi_slots[slot, :n], lo_slots[slot, :n], size_slots[slot, :n],
+            batch_size,
+        )
+        free_q.put(slot)
     for shard in shards:
         out_q.put(runs[shard].finalize())
 
@@ -269,7 +304,9 @@ class StreamDriver:
             across them); ``False``/``None`` — run every shard inline
             in this process through the same code path.
         batch_size: Per-worker ``process_columns`` slice; ``None`` lets
-            each engine use its own streaming default.
+            each engine use its own streaming default.  It also sizes
+            the worker ring's slots: in process mode :meth:`send`
+            accepts at most ``stream_batch_for(batch_size)`` packets.
         collect_metrics: When true each shard runs under its own
             :class:`~repro.obs.registry.MetricsRegistry` and ships the
             snapshot back as a blob.
@@ -296,34 +333,40 @@ class StreamDriver:
         self._batch_size = batch_size
         self._closed = False
         pool = _pool_size(processes, shards)
+        self._procs: List = []
         if pool == 0:
             self._inline = [
                 _ShardRun(spec, shard, collect_metrics, epoch)
                 for shard in range(shards)
             ]
-            self._queues = None
-            self._procs: List = []
             return
         self._inline = None
+        self._pool = pool
+        self.slot_packets = stream_batch_for(batch_size)
         ctx = multiprocessing.get_context()
         self._out_q = ctx.Queue()
         self._in_qs = []
-        self._procs = []
+        self._free_qs = []
+        self._rings = []
         for w in range(pool):
             owned = list(range(w, shards, pool))
-            in_q = ctx.Queue(maxsize=WORKER_CREDITS)
+            ring = ctx.RawArray("Q", 3 * WORKER_CREDITS * self.slot_packets)
+            in_q = ctx.SimpleQueue()
+            free_q = ctx.SimpleQueue()
+            for slot in range(WORKER_CREDITS):
+                free_q.put(slot)
             proc = ctx.Process(
                 target=_stream_worker,
                 args=(
-                    spec, owned, batch_size, collect_metrics,
-                    in_q, self._out_q, epoch,
+                    spec, owned, batch_size, collect_metrics, ring,
+                    self.slot_packets, in_q, free_q, self._out_q, epoch,
                 ),
             )
             proc.start()
             self._in_qs.append(in_q)
+            self._free_qs.append(free_q)
+            self._rings.append(_ring_views(ring, self.slot_packets))
             self._procs.append(proc)
-        # shard -> its owner's input queue
-        self._queues = [self._in_qs[shard % pool] for shard in range(shards)]
 
     @property
     def inline(self) -> bool:
@@ -357,22 +400,39 @@ class StreamDriver:
         return [run.sketch for run in self._inline]
 
     def send(self, shard: int, hi, lo, sizes) -> None:
-        """Ship one chunk to *shard* (blocks when its credits run out)."""
+        """Ship one chunk to *shard* (blocks while its worker has no free slot).
+
+        In process mode the chunk is copied into a ring slot, so it may
+        hold at most :attr:`slot_packets` packets; a longer one raises
+        ``ValueError``.
+        """
         if self._closed:
             raise RuntimeError("driver already closed")
-        if len(sizes) == 0:
+        n = len(sizes)
+        if n == 0:
             return
         if self._inline is not None:
             self._inline[shard].consume(hi, lo, sizes, self._batch_size)
             return
-        self._queues[shard].put((shard, hi, lo, sizes))
+        if n > self.slot_packets:
+            raise ValueError(
+                f"chunk of {n} packets exceeds one ring slot "
+                f"({self.slot_packets} packets = stream_batch_for(batch_size))"
+            )
+        w = shard % self._pool
+        slot = self._free_qs[w].get()
+        hi_slots, lo_slots, size_slots = self._rings[w]
+        hi_slots[slot, :n] = hi
+        lo_slots[slot, :n] = lo
+        size_slots[slot, :n] = sizes
+        self._in_qs[w].put((shard, slot, n))
 
     def resize(self, new_l: int, base_seed: int = 0) -> None:
         """Re-hash every shard's live state to *new_l* buckets.
 
         Inline shards resize synchronously; worker-process shards get a
         ``("resize", ...)`` control tuple on their input queue, ordered
-        FIFO with the data chunks, so the resize lands between the same
+        FIFO with the slot messages, so the resize lands between the same
         two chunks it would inline.  Per-shard fold seeds come from
         :func:`resize_stream_seed` in both placements.
         """
@@ -385,7 +445,9 @@ class StreamDriver:
             if self._inline is not None:
                 self._inline[shard].sketch.resize(new_l, seed=seed)
             else:
-                self._queues[shard].put(("resize", shard, new_l, seed))
+                self._in_qs[shard % self._pool].put(
+                    ("resize", shard, new_l, seed)
+                )
 
     def results(self) -> Iterator[ShardResult]:
         """Close the stream and yield shard results as workers finish.
@@ -404,6 +466,7 @@ class StreamDriver:
             yield self._out_q.get()
         for proc in self._procs:
             proc.join()
+        self._rings = []  # release the shared arenas
 
 
 def run_sharded(

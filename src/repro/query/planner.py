@@ -7,7 +7,8 @@ types.  The planner amortises them:
 
 * the sketch's state is extracted to a :class:`ColumnTable` **once**
   per query session (``export_columns`` on engine sketches, a single
-  dict pack otherwise);
+  dict pack otherwise) — also when several threads ask first at once,
+  as they do on the service's shared frozen-epoch planners;
 * each :class:`PartialKeySpec`'s projection + aggregation runs once and
   is memoized, so re-posing a spec (HHH levels shared between grids,
   repeated SQL) is a cache hit;
@@ -23,6 +24,7 @@ wrapper costing one dict lookup.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional
 
 from repro.flowkeys.key import FullKeySpec, PartialKeySpec
@@ -61,6 +63,7 @@ class QueryPlanner:
         self.version = version
         self._sketch = None
         self._base: Optional[ColumnTable] = None
+        self._extract_lock = threading.Lock()
         if isinstance(source, ColumnTable):
             self._base = source.group() if group_base else source
         else:
@@ -83,13 +86,22 @@ class QueryPlanner:
 
     @property
     def base(self) -> ColumnTable:
-        """The full-key table, extracted from the sketch exactly once."""
-        if self._base is None:
-            obs = get_registry()
-            with obs.span("query.extract"):
-                self._base = ColumnTable.from_sketch(self._sketch, self.spec)
-            obs.inc("query.extractions")
-        return self._base
+        """The full-key table, extracted from the sketch exactly once.
+
+        Double-checked under a per-planner lock: concurrent first
+        readers wait for one extraction instead of each repeating it.
+        """
+        base = self._base
+        if base is None:
+            with self._extract_lock:
+                base = self._base
+                if base is None:
+                    obs = get_registry()
+                    with obs.span("query.extract"):
+                        base = ColumnTable.from_sketch(self._sketch, self.spec)
+                    self._base = base
+                    obs.inc("query.extractions")
+        return base
 
     def table(self, partial: PartialKeySpec) -> ColumnTable:
         """Aggregated columnar table for *partial* (memoized)."""

@@ -60,7 +60,7 @@ from repro.extensions.windowed import split_budget
 from repro.flowkeys.key import FullKeySpec
 from repro.hashing.family import mix64
 from repro.obs.registry import TIME_EDGES, MetricsRegistry
-from repro.parallel import StreamDriver
+from repro.parallel import StreamDriver, stream_batch_for
 from repro.query.planner import QueryPlanner
 from repro.query.slim import SlimReplica
 from repro.service.epochs import EpochSnapshot, EpochStore, epoch_merge_seed
@@ -105,7 +105,9 @@ class ServiceConfig:
         chunk: Engine feed granularity; arrivals are re-blocked to this
             before the engines see them (the determinism contract).
         batch_size: Per-worker ``process_columns`` slice; defaults to
-            *chunk* so one feed block is one engine chunk.
+            *chunk* so one feed block is one engine chunk.  With worker
+            processes *chunk* may not exceed
+            ``stream_batch_for(batch_size)`` (one ring slot).
         epoch_packets: Rotate after exactly this many packets (boundary
             splits mid-block when needed).  ``None`` — no packet bound.
         epoch_seconds: Rotate when the live epoch is older than this at
@@ -175,6 +177,14 @@ class ServiceConfig:
             )
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
+        if self.processes:
+            # Worker shards receive each feed through one ring slot.
+            slot = stream_batch_for(self.batch_size or self.chunk)
+            if self.chunk > slot:
+                raise ValueError(
+                    f"chunk ({self.chunk}) exceeds the worker ring slot of "
+                    f"{slot} packets that batch_size={self.batch_size} gives"
+                )
         if self.epoch_packets is not None and self.epoch_packets < 1:
             raise ValueError(
                 f"epoch_packets must be >= 1, got {self.epoch_packets}"

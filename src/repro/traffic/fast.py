@@ -6,7 +6,9 @@ thousands of packets x dozens of partial keys dominate some HHH
 benches.  This module does the same computation with numpy:
 
 * keys (up to 128 bits) are split into (hi, lo) uint64 column arrays;
-* grouping uses ``np.unique`` over the packed columns;
+* distinct flows come from one two-column sort
+  (:func:`~repro.flowkeys.columns.group_words`), partial keys group
+  with ``np.unique`` over their single mapped column;
 * the partial-key mapping ``g(.)`` becomes shift/mask arithmetic on
   the columns.
 
@@ -21,7 +23,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.flowkeys.columns import pack_key_columns
+from repro.flowkeys.columns import columns_to_words, group_words, pack_key_columns
 from repro.flowkeys.key import PartialKeySpec
 from repro.traffic.trace import Trace
 
@@ -49,12 +51,9 @@ class FastGroundTruth:
         else:
             weights = np.asarray(trace.sizes, dtype=np.int64)
         # Deduplicate to distinct flows once; all partial keys reuse it.
-        packed = np.stack([hi, lo], axis=1)
-        uniq, inverse = np.unique(packed, axis=0, return_inverse=True)
-        totals = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(totals, inverse, weights)
-        self._flow_hi = uniq[:, 0]
-        self._flow_lo = uniq[:, 1]
+        uniq, totals = group_words(columns_to_words(hi, lo, 128), weights)
+        self._flow_lo = uniq[0]
+        self._flow_hi = uniq[1]
         self._flow_totals = totals
 
     def full_counts(self) -> Dict[int, int]:

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.flowkeys.key import FIVE_TUPLE, IPV6_FIVE_TUPLE, paper_partial_keys
@@ -37,6 +38,24 @@ class TestExactness:
         fast = FastGroundTruth(trace)
         pk = FIVE_TUPLE.partial("SrcIP", "SrcPort")
         assert fast.ground_truth(pk) == trace.ground_truth(pk)
+
+    def test_flow_dedupe_order_and_int64_totals(self):
+        # Distinct flows in ascending full-key order with int64 totals,
+        # and columnar partial aggregates equal to the dict reference.
+        trace = zipf_trace(20_000, 3_000, seed=46, with_bytes=True)
+        fast = FastGroundTruth(trace)
+        full = fast.full_counts()
+        assert list(full) == sorted(full)
+        assert full == trace.full_counts()
+        for pk in (
+            FIVE_TUPLE.partial("SrcIP"),
+            FIVE_TUPLE.partial(("DstIP", 20), "Proto"),
+        ):
+            uniq, totals = fast.ground_truth_columns(pk)
+            expected = trace.ground_truth(pk)
+            assert totals.dtype == np.int64
+            assert uniq.tolist() == sorted(expected)
+            assert totals.tolist() == [expected[k] for k in uniq.tolist()]
 
     def test_foreign_spec_rejected(self, small_trace):
         fast = FastGroundTruth(small_trace)

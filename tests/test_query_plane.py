@@ -297,6 +297,50 @@ class TestPlanner:
         partial = FIVE_TUPLE.partial(("SrcIP", 32))
         assert planner.sizes(partial) == scalar_aggregate(sizes, partial)
 
+    def test_concurrent_first_queries_extract_once(self):
+        # Threads racing on one fresh memoized epoch planner (as the
+        # threaded HTTP server's handlers do) must share one extraction.
+        import sys
+        import threading
+
+        from repro.obs.registry import collecting
+        from repro.service import MeasurementDaemon, ServiceConfig
+
+        spec = SketchSpec(engine="numpy", variant="basic", d=2, l=65536, seed=3)
+        daemon = MeasurementDaemon(
+            ServiceConfig(spec=spec, key_spec=FIVE_TUPLE, shards=2)
+        )
+        rng = np.random.default_rng(11)
+        n = 200_000
+        daemon.ingest(
+            rng.integers(0, 1 << 40, n, dtype=np.uint64),
+            rng.integers(0, 1 << 62, n, dtype=np.uint64),
+            np.ones(n, dtype=np.int64),
+        )
+        daemon.close()
+        planner = daemon.epoch_planner(0)
+        threads_n = 6
+        barrier = threading.Barrier(threads_n)
+        partial = FIVE_TUPLE.partial("SrcIP")
+
+        def query():
+            barrier.wait()
+            planner.table(partial)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with collecting() as registry:
+                threads = [threading.Thread(target=query) for _ in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.snapshot()["counters"]["query.extractions"] == 1
+
     def test_partial_key_report_threshold(self, tiny_trace):
         sketch = get_engine("numpy").cocosketch_from_memory(32 * 1024, seed=2)
         sketch.process(tiny_trace)

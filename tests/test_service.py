@@ -816,6 +816,16 @@ class TestDaemonLifecycle:
         assert version_d == version_c and planner_d is planner_c
         daemon.close()
 
+    def test_worker_feed_must_fit_one_ring_slot(self):
+        def config(**kw):
+            return ServiceConfig(spec=SketchSpec(), key_spec=FIVE_TUPLE,
+                                 chunk=100_000, **kw)
+
+        with pytest.raises(ValueError, match="ring slot"):
+            config(processes=2, batch_size=1024)
+        config(processes=False, batch_size=1024)
+        config(processes=2)  # the slot follows the chunk
+
     def test_live_view_selection_and_errors(self):
         daemon = MeasurementDaemon(make_config())
         assert daemon.default_live_view == "slim"

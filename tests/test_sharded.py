@@ -22,7 +22,14 @@ from repro.engine.sharded import (
     shard_assignments,
 )
 from repro.flowkeys.key import FIVE_TUPLE
-from repro.parallel import run_sharded, worker_seed
+from repro.parallel import (
+    STREAM_BATCH,
+    WORKER_CREDITS,
+    StreamDriver,
+    run_sharded,
+    stream_batch_for,
+    worker_seed,
+)
 from repro.tasks.harness import FullKeyEstimator
 from repro.traffic.synthetic import zipf_trace
 from tests.stat_harness import (
@@ -219,6 +226,108 @@ class TestShardedPipeline:
         sketch = load_sketch(dump_sketch(SketchSpec(d=1, l=8).build()))
         with pytest.raises(ValueError):
             SketchSpec.from_sketch(sketch)
+
+
+def _random_columns(n, seed):
+    """Skewed synthetic ``(hi, lo, sizes)`` columns, cheap at any size."""
+    rng = np.random.default_rng(seed)
+    flows = rng.zipf(1.3, n).astype(np.uint64) % np.uint64(5_000)
+    hi = flows * np.uint64(0x9E3779B1)
+    lo = flows ^ np.uint64(0xA5A5)
+    return hi, lo, rng.integers(1, 4, n, dtype=np.int64)
+
+
+class _Columns:
+    """A columnar packet source over fixed ``(hi, lo, sizes)`` arrays."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def batches(self, block):
+        hi, lo, sizes = self.columns
+        for start in range(0, len(sizes), block):
+            stop = start + block
+            yield hi[start:stop], lo[start:stop], sizes[start:stop]
+
+
+def _driver_blobs(driver):
+    return [blob for _, blob, *_ in sorted(driver.results())]
+
+
+class TestWorkerRing:
+    """Worker processes (shared-memory slot ring) == inline, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["basic", "hardware"])
+    @pytest.mark.parametrize(
+        "shards,processes", [(2, True), (3, 2)], ids=["2-procs", "3-on-2"]
+    )
+    def test_processes_match_inline(self, small_trace, variant, shards, processes):
+        # 3 shards on 2 processes: one worker's ring carries two shards.
+        spec = SketchSpec(engine="numpy", variant=variant, d=2, l=512, seed=8)
+        inline = ShardedSketch(spec, shards, processes=False)
+        inline.process(small_trace)
+        pooled = ShardedSketch(spec, shards, processes=processes)
+        pooled.process(small_trace)
+        assert dump_sketch(pooled.merged) == dump_sketch(inline.merged)
+
+    def test_large_batch_size_sizes_the_slot(self):
+        batch = STREAM_BATCH + 4096
+        spec = SketchSpec(engine="numpy", variant="hardware", d=2, l=2048, seed=9)
+        driver = StreamDriver(spec, 1, processes=True, batch_size=batch)
+        assert driver.slot_packets == stream_batch_for(batch) == batch
+        list(driver.results())
+        source = _Columns(_random_columns(2 * batch + 1000, seed=3))
+        inline = ShardedSketch(spec, 2, processes=False, batch_size=batch)
+        inline.process(source)
+        pooled = ShardedSketch(spec, 2, processes=True, batch_size=batch)
+        pooled.process(source)
+        assert dump_sketch(pooled.merged) == dump_sketch(inline.merged)
+
+    def test_slots_recycle_across_many_sends(self):
+        # Far more sends per worker than it has slots: credits must
+        # come back through the free-slot queue.
+        spec = SketchSpec(engine="numpy", variant="hardware", d=2, l=1024, seed=2)
+        hi, lo, sizes = _random_columns(30_000, seed=4)
+        step = 500
+        assert len(sizes) // step > 3 * WORKER_CREDITS
+        blobs = []
+        for processes in (False, 2):
+            driver = StreamDriver(spec, 3, processes=processes)
+            for k, start in enumerate(range(0, len(sizes), step)):
+                stop = start + step
+                driver.send(k % 3, hi[start:stop], lo[start:stop], sizes[start:stop])
+            blobs.append(_driver_blobs(driver))
+        assert blobs[0] == blobs[1]
+
+    def test_mid_stream_resize_matches_inline(self):
+        spec = SketchSpec(engine="numpy", variant="basic", d=2, l=1024, seed=5)
+        hi, lo, sizes = _random_columns(24_000, seed=6)
+        half = len(sizes) // 2
+        blobs = []
+        for processes in (False, True):
+            driver = StreamDriver(spec, 2, processes=processes)
+            for start, stop in ((0, half), (half, len(sizes))):
+                parts = partition_columns(
+                    hi[start:stop], lo[start:stop], sizes[start:stop],
+                    2, "hash", spec.seed, offset=start,
+                )
+                for shard, (shi, slo, ssz) in enumerate(parts):
+                    driver.send(shard, shi, slo, ssz)
+                if start == 0:
+                    driver.resize(384, base_seed=17)
+            blobs.append(_driver_blobs(driver))
+        assert blobs[0] == blobs[1]
+        assert load_sketch(blobs[1][0]).l == 384
+
+    def test_send_beyond_one_slot_raises(self):
+        spec = SketchSpec(engine="numpy", d=2, l=256, seed=1)
+        driver = StreamDriver(spec, 1, processes=True)
+        n = driver.slot_packets + 1
+        column = np.zeros(n, dtype=np.uint64)
+        with pytest.raises(ValueError, match="exceeds one ring slot"):
+            driver.send(0, column, column, np.ones(n, dtype=np.int64))
+        (result,) = list(driver.results())
+        assert result[2] == 0  # nothing reached the worker
 
 
 class TestShardedStatistics:
